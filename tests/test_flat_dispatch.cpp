@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "harness/experiments.h"
+#include "topo/micro_topo.h"
 #include "workload/traffic_matrix.h"
 
 namespace ndpsim {
@@ -203,6 +204,137 @@ INSTANTIATE_TEST_SUITE_P(
                       golden_case{protocol::dcqcn, 0x2f789aa7a98cb4e1ull},
                       golden_case{protocol::phost, 0x52a72b6c09461e23ull}),
     [](const auto& info) { return std::string(to_string(info.param.proto)); });
+
+// The same pin for the hand-sized fabrics (the back-to-back pair, the star
+// and the paper's 8-server leaf-spine testbed): a seeded workload per fabric
+// and transport, hashed the same way.  These goldens were recorded on the
+// hand-wired micro topologies, before they became blueprint shapes; a
+// rebuild of their wiring must reproduce every bit of them.
+enum class micro_fabric : std::uint8_t { back_to_back, single_switch, leaf_spine };
+
+[[nodiscard]] const char* to_string(micro_fabric m) {
+  switch (m) {
+    case micro_fabric::back_to_back: return "back_to_back";
+    case micro_fabric::single_switch: return "single_switch";
+    case micro_fabric::leaf_spine: return "leaf_spine";
+  }
+  return "?";
+}
+
+workload_result run_micro_workload(micro_fabric fabric, protocol proto) {
+  fabric_params fp;
+  fp.proto = proto;
+  sim_env env(7);
+  const queue_factory qf = make_queue_factory(env, fp);
+  std::unique_ptr<topology> topo;
+  // (src, dst) pairs: both directions of the one link; a 4:1 incast plus
+  // a crossing flow through the switch; the 8-host testbed's 7:1 incast
+  // (cross-leaf multipath and one same-leaf sender) plus a reverse flow.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  switch (fabric) {
+    case micro_fabric::back_to_back:
+      topo = std::make_unique<back_to_back>(env, gbps(10), from_us(1), qf);
+      pairs = {{0, 1}, {1, 0}, {0, 1}};
+      break;
+    case micro_fabric::single_switch:
+      topo = std::make_unique<single_switch>(env, 6, gbps(10), from_us(1), qf);
+      pairs = {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 3}};
+      break;
+    case micro_fabric::leaf_spine:
+      topo = std::make_unique<leaf_spine>(env, 4, 2, 2, gbps(10), from_us(1),
+                                          qf);
+      pairs = {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}, {6, 0}, {7, 0}, {0, 6}};
+      break;
+  }
+  flow_factory flows(env, *topo);
+  std::vector<flow*> fs;
+  for (const auto& [src, dst] : pairs) {
+    flow_options o;
+    o.bytes = 300'000;
+    o.start = static_cast<simtime_t>(env.rand_below(1000)) * kNanosecond;
+    fs.push_back(&flows.create(proto, src, dst, o));
+  }
+  run_until_complete(env, fs, from_ms(500));
+  workload_result out;
+  for (const flow* f : fs) {
+    out.records.push_back(flow_record{f->id, f->src, f->dst, f->start_time,
+                                      f->completion_time(), f->complete()});
+  }
+  out.events = env.events.events_processed();
+  return out;
+}
+
+struct micro_golden_case {
+  micro_fabric fabric;
+  protocol proto;
+  std::uint64_t hash;
+};
+
+// Readable, deterministic test names (the default printer dumps the raw
+// bytes, struct padding included).
+void PrintTo(const micro_golden_case& c, std::ostream* os) {
+  *os << to_string(c.fabric) << "/" << to_string(c.proto);
+}
+
+class micro_fct_golden_identity
+    : public ::testing::TestWithParam<micro_golden_case> {};
+
+TEST_P(micro_fct_golden_identity, fct_records_bitwise_match_hand_wired) {
+  const workload_result got =
+      run_micro_workload(GetParam().fabric, GetParam().proto);
+  for (const flow_record& f : got.records) {
+    EXPECT_TRUE(f.complete) << "flow " << f.id;
+  }
+  EXPECT_EQ(hash_workload(got), GetParam().hash)
+      << "observed hash 0x" << std::hex << hash_workload(got) << " for "
+      << to_string(GetParam().fabric) << "/" << to_string(GetParam().proto);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    micro_fabrics, micro_fct_golden_identity,
+    // TCP and DCTCP coincide on the back-to-back pair: its only queues are
+    // the senders' NICs, which never mark.
+    ::testing::Values(
+        micro_golden_case{micro_fabric::back_to_back, protocol::ndp,
+                          0x9f81b49aef01187aull},
+        micro_golden_case{micro_fabric::back_to_back, protocol::tcp,
+                          0x2cc2eb3012986b02ull},
+        micro_golden_case{micro_fabric::back_to_back, protocol::dctcp,
+                          0x2cc2eb3012986b02ull},
+        micro_golden_case{micro_fabric::back_to_back, protocol::mptcp,
+                          0x43f48c05f3ab59bcull},
+        micro_golden_case{micro_fabric::back_to_back, protocol::dcqcn,
+                          0xd6e81d4e1aa07d63ull},
+        micro_golden_case{micro_fabric::back_to_back, protocol::phost,
+                          0x60bc5508000e54f1ull},
+        micro_golden_case{micro_fabric::single_switch, protocol::ndp,
+                          0xfd93c59ec0bd0f87ull},
+        micro_golden_case{micro_fabric::single_switch, protocol::tcp,
+                          0x7120c9ad73bf833aull},
+        micro_golden_case{micro_fabric::single_switch, protocol::dctcp,
+                          0x8900eef47d7c63ceull},
+        micro_golden_case{micro_fabric::single_switch, protocol::mptcp,
+                          0xda30984dcb5cd2a7ull},
+        micro_golden_case{micro_fabric::single_switch, protocol::dcqcn,
+                          0xc713b13598e30839ull},
+        micro_golden_case{micro_fabric::single_switch, protocol::phost,
+                          0x566495f1fdf0de5eull},
+        micro_golden_case{micro_fabric::leaf_spine, protocol::ndp,
+                          0x7ac73fa6d7f27dbaull},
+        micro_golden_case{micro_fabric::leaf_spine, protocol::tcp,
+                          0x31659824209a4ca9ull},
+        micro_golden_case{micro_fabric::leaf_spine, protocol::dctcp,
+                          0x99cb6070d43b5818ull},
+        micro_golden_case{micro_fabric::leaf_spine, protocol::mptcp,
+                          0xc208f5d7ded662deull},
+        micro_golden_case{micro_fabric::leaf_spine, protocol::dcqcn,
+                          0x8e823964a0810f9bull},
+        micro_golden_case{micro_fabric::leaf_spine, protocol::phost,
+                          0xd7b5ff7b3fc4fd5ull}),
+    [](const auto& info) {
+      return std::string(to_string(info.param.fabric)) + "_" +
+             to_string(info.param.proto);
+    });
 
 // ---------------------------------------------------------------------------
 // Scheduler-level identity: zero-delay self-rescheduling lane sources racing
