@@ -340,24 +340,38 @@ route_setup_result run_route_setup() {
     void receive(packet&) override {}
   };
 
-  {  // Legacy per-flow replica.
+  {  // Legacy per-flow replica: each connection heap-builds its own route
+     // pair (hop vector + reverse link) and owns it to the end of the run.
+    struct replica_route {
+      std::vector<packet_sink*> hops;
+      const replica_route* reverse = nullptr;
+    };
     sim_env env(1);
     fat_tree_config tc;
     tc.k = kK;
     fat_tree ft(env, tc, droptail(env));
+    const fabric_blueprint& bp = *ft.blueprint();
+    packet_sink* const* sinks = ft.sink_table();
     const auto matrix = permutation_matrix(env.rng, ft.n_hosts());
     null_sink ep;
-    std::vector<std::unique_ptr<owned_route>> keep;  // flows own to sim end
+    std::vector<std::uint32_t> seq;
+    const auto build = [&](std::uint32_t a, std::uint32_t b, std::size_t p) {
+      auto r = std::make_unique<replica_route>();
+      bp.build_path(a, b, p, seq);
+      for (const std::uint32_t slot : seq) r->hops.push_back(sinks[slot]);
+      r->hops.push_back(&ep);
+      return r;
+    };
+    std::vector<std::unique_ptr<replica_route>> keep;  // flows own to sim end
     const auto t0 = std::chrono::steady_clock::now();
     for (int round = 0; round < kRounds; ++round) {
       for (std::uint32_t h = 0; h < ft.n_hosts(); ++h) {
         const std::size_t n = ft.n_paths(h, matrix[h]);
         for (std::size_t p = 0; p < n; ++p) {
-          auto [f, r] = ft.make_route_pair(h, matrix[h], p);
-          f->push_back(&ep);
-          r->push_back(&ep);
-          f->set_reverse(r.get());
-          r->set_reverse(f.get());
+          auto f = build(h, matrix[h], p);
+          auto r = build(matrix[h], h, p);
+          f->reverse = r.get();
+          r->reverse = f.get();
           keep.push_back(std::move(f));
           keep.push_back(std::move(r));
           ++res.route_pairs;
@@ -366,7 +380,8 @@ route_setup_result run_route_setup() {
     }
     res.legacy_sec = seconds_since(t0);
     for (const auto& r : keep) {
-      res.legacy_bytes += sizeof(owned_route) + r->size() * sizeof(packet_sink*);
+      res.legacy_bytes +=
+          sizeof(replica_route) + r->hops.size() * sizeof(packet_sink*);
     }
   }
 
@@ -418,8 +433,8 @@ struct fabric_setup_result {
 
 /// Blueprint build vs per-env instantiation, against a replica of the
 /// pre-split from-scratch build: eagerly-formatted `std::string` names on
-/// every queue/pipe (the seed's `make_link`) plus per-route `owned_route`
-/// heap building (the seed's route model) for one permutation's route set at
+/// every queue/pipe (the seed's `make_link`) plus per-route heap-built hop
+/// vectors (the seed's route model) for one permutation's route set at
 /// `max_paths` paths per pair.  The warm side runs the real code: construct
 /// a `fabric_instance` over the already-built blueprint and resolve the same
 /// route set through the interned structural table.
@@ -463,14 +478,17 @@ fabric_setup_result run_fabric_setup(unsigned k, int rounds) {
         sinks[l.first_slot + 1] = pipes.back().get();
         queues.push_back(std::move(q));
       }
-      // The pre-split route model: `make_route_pair` heap-builds a scratch
-      // pair per path and the per-env table copies the hops into its arena
-      // (what `path_table::ensure_path` did before the blueprint existed).
+      // The pre-split route model: a scratch hop vector is heap-built per
+      // path and the per-env table copies the hops into its arena (what
+      // `path_table::ensure_path` did before the blueprint existed).  Arena
+      // routes read their span through the identity slot sequence.
       std::vector<std::uint32_t> seq;
+      std::vector<std::uint32_t> identity(64);
+      for (std::uint32_t i = 0; i < identity.size(); ++i) identity[i] = i;
       std::deque<route> arena_routes;
       std::vector<std::unique_ptr<packet_sink*[]>> arena;
       std::size_t arena_used = 0, arena_cap = 0, arena_hops = 0;
-      auto intern_replica = [&](const owned_route& r) {
+      auto intern_replica = [&](const std::vector<packet_sink*>& r) {
         const std::size_t hops = r.size() + 1;  // + demux terminal
         if (arena_used + hops > arena_cap) {
           arena_cap = 4096;
@@ -478,11 +496,12 @@ fabric_setup_result run_fabric_setup(unsigned k, int rounds) {
           arena.push_back(std::make_unique<packet_sink*[]>(arena_cap));
         }
         packet_sink** span = arena.back().get() + arena_used;
-        for (std::size_t i = 0; i < r.size(); ++i) span[i] = &r.at(i);
+        std::copy(r.begin(), r.end(), span);
         span[hops - 1] = span[0];  // terminal stand-in
         arena_used += hops;
         arena_hops += hops;
-        arena_routes.emplace_back(span, static_cast<std::uint32_t>(hops));
+        arena_routes.emplace_back(span, identity.data(),
+                                  static_cast<std::uint32_t>(hops));
       };
       for (std::uint32_t h = 0; h < res.hosts; ++h) {
         const std::uint32_t d = partner(h);
@@ -490,14 +509,12 @@ fabric_setup_result run_fabric_setup(unsigned k, int rounds) {
         const std::size_t n = bp->n_paths(h, d);
         for (std::size_t i = 0; i < std::min(n, kMaxPaths); ++i) {
           const std::size_t p = (h + i) % n;
-          auto fwd = std::make_unique<owned_route>();
+          auto fwd = std::make_unique<std::vector<packet_sink*>>();
           bp->build_path(h, d, p, seq);
           for (const std::uint32_t s : seq) fwd->push_back(sinks[s]);
-          auto rev = std::make_unique<owned_route>();
+          auto rev = std::make_unique<std::vector<packet_sink*>>();
           bp->build_path(d, h, p, seq);
           for (const std::uint32_t s : seq) rev->push_back(sinks[s]);
-          fwd->set_reverse(rev.get());
-          rev->set_reverse(fwd.get());
           // Interned into the per-env arena; the scratch pair is then freed
           // (exactly the pre-split ensure_path sequence).
           intern_replica(*fwd);

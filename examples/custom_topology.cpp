@@ -1,26 +1,82 @@
 // Example: bringing your own topology and switch configuration.
 //
 // Shows the extension points a downstream user needs:
+//   * a custom topology, written as a blueprint shape: say how many hosts
+//     and links per level there are, how many paths join two hosts, which
+//     links a path crosses, and what the links are called.  The blueprint
+//     does the rest — link records, slot ids, lazy names, interned routes
+//     shared by every flow (and by every simulation built on it);
 //   * a custom queue_factory (here: NDP queues with a deliberately tiny
 //     header queue plus return-to-sender, to watch RTS kick in),
-//   * a hand-built leaf-spine topology instead of the FatTree,
 //   * direct access to per-queue statistics,
 //   * the zero-RTT acceptor for listen-style applications.
 //
 //   ./examples/custom_topology
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "harness/flow_factory.h"
 #include "harness/queue_factory.h"
 #include "ndp/ndp_acceptor.h"
 #include "ndp/ndp_queue.h"
 #include "net/fifo_queues.h"
-#include "topo/micro_topo.h"
+#include "topo/fabric_instance.h"
 #include "workload/cbr_source.h"
 #include "workload/traffic_matrix.h"
 
 using namespace ndpsim;
+
+namespace {
+
+/// A two-tier leaf-spine: `leaves` ToRs of `per_leaf` hosts, every ToR wired
+/// to every spine.  Links are indexed per level: host NIC up [host], leaf to
+/// spine [leaf * spines + spine], spine to leaf [spine * leaves + leaf], leaf
+/// to host [host].  Path p between two leaves crosses spine p.
+class my_leaf_spine final : public fabric_shape {
+ public:
+  my_leaf_spine(std::uint32_t leaves, std::uint32_t spines,
+                std::uint32_t per_leaf)
+      : leaves_(leaves), spines_(spines), per_leaf_(per_leaf) {}
+
+  std::size_t n_hosts() const override { return leaves_ * per_leaf_; }
+
+  std::size_t n_links(link_level level) const override {
+    switch (level) {
+      case link_level::host_up:
+      case link_level::tor_down: return n_hosts();
+      case link_level::tor_up:
+      case link_level::agg_down: return leaves_ * spines_;
+      default: return 0;
+    }
+  }
+
+  std::size_t n_paths(std::uint32_t src, std::uint32_t dst) const override {
+    return leaf(src) == leaf(dst) ? 1 : spines_;
+  }
+
+  void build_path(std::uint32_t src, std::uint32_t dst, std::size_t path,
+                  std::vector<link_ref>& out) const override {
+    const auto spine = static_cast<std::uint32_t>(path);
+    out.push_back({link_level::host_up, src});
+    if (leaf(src) != leaf(dst)) {
+      out.push_back({link_level::tor_up, leaf(src) * spines_ + spine});
+      out.push_back({link_level::agg_down, spine * leaves_ + leaf(dst)});
+    }
+    out.push_back({link_level::tor_down, dst});
+  }
+
+  std::string link_name(link_ref link) const override {
+    return std::string(to_string(link.level)) + std::to_string(link.index);
+  }
+
+ private:
+  std::uint32_t leaf(std::uint32_t host) const { return host / per_leaf_; }
+
+  std::uint32_t leaves_, spines_, per_leaf_;
+};
+
+}  // namespace
 
 int main() {
   sim_env env(11);
@@ -41,8 +97,15 @@ int main() {
     return std::make_unique<ndp_queue>(env, rate, qc, name);
   };
 
-  // 6 leaves x 4 hosts, 3 spines.
-  leaf_spine topo(env, 6, 3, 4, gbps(10), from_us(1), factory);
+  // 6 leaves x 4 hosts, 3 spines.  The blueprint is immutable and env-free:
+  // any number of simulations (e.g. parallel_runner jobs) can stamp their
+  // own queues and pipes out of this one.
+  link_config links;
+  links.link_speed = gbps(10);
+  links.link_delay = from_us(1);
+  const auto blueprint = fabric_blueprint::build(
+      std::make_unique<my_leaf_spine>(6, 3, 4), links);
+  fabric_instance topo(env, blueprint, factory);
   flow_factory flows(env, topo);
   std::printf("leaf-spine: %zu hosts, %zu paths between distant hosts\n",
               topo.n_hosts(), topo.n_paths(0, 23));

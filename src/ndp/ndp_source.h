@@ -58,7 +58,7 @@ class ndp_source final : public packet_sink, public event_source {
   ~ndp_source() override;
 
   /// Wire up a connection over a borrowed multipath set (shared interned
-  /// routes from `topology::paths()`, or a `manual_paths` build).  Registers
+  /// routes from `topology::paths()`, or a hand-built set).  Registers
   /// this source and the sink with the set's demuxes under the flow id,
   /// hands the control (reverse) routes to the sink and schedules the
   /// first-window push at `start`.  `flow_bytes == 0` means an unbounded

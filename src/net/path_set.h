@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/packet.h"
@@ -193,10 +192,9 @@ class flow_demux final : public packet_sink {
 };
 
 /// Borrowed view of a multipath route set: forward/reverse route arrays
-/// (pointers into path_table- or manual_paths-owned storage; fwd[i] and
-/// rev[i] traverse the same switches in opposite directions) plus the demuxes
-/// at the two ends.  Cheap to copy; the owner must outlive every connection
-/// using it.
+/// (pointers into path_table-owned storage; fwd[i] and rev[i] traverse the
+/// same switches in opposite directions) plus the demuxes at the two ends.
+/// Cheap to copy; the owner must outlive every connection using it.
 ///
 /// Borrow rules (the `path_set` lifetime contract):
 ///  * The view is valid from the moment the owner hands it out until the
@@ -221,7 +219,7 @@ struct path_set {
   flow_demux* dst_demux = nullptr;  ///< terminal of the forward routes
   /// Non-zero for pooled subset arrays owned by a `path_table`: the handle
   /// `path_table::release` uses to return the arrays to its free pool.
-  /// Zero for shared (`all`/`single`) and manually built views, whose
+  /// Zero for shared (`all`/`single`) and hand-built views, whose
   /// storage is not per-flow and is never released.
   std::uint32_t pool_token = 0;
 
@@ -257,41 +255,6 @@ struct path_set {
     if (src_demux != nullptr) src_demux->unbind(flow_id);
     if (dst_demux != nullptr) dst_demux->unbind(flow_id);
   }
-};
-
-/// Builder for hand-wired path sets (tests, custom setups): owns the routes
-/// and both demuxes.  Hops exclude the endpoints — like interned routes, each
-/// side terminates at the built-in demux, and transports register their
-/// endpoints through the resulting path_set.  Add every path before calling
-/// set(); the builder must outlive the connection.
-class manual_paths {
- public:
-  /// Append one forward/reverse pair; reverses are linked automatically.
-  void add(std::vector<packet_sink*> fwd_hops,
-           std::vector<packet_sink*> rev_hops) {
-    fwd_hops.push_back(&dst_demux_);
-    rev_hops.push_back(&src_demux_);
-    owned_route& f = routes_.emplace_back(std::move(fwd_hops));
-    owned_route& r = routes_.emplace_back(std::move(rev_hops));
-    f.set_reverse(&r);
-    r.set_reverse(&f);
-    fwd_.push_back(&f);
-    rev_.push_back(&r);
-  }
-
-  [[nodiscard]] path_set set() {
-    return path_set{fwd_.data(), rev_.data(),
-                    static_cast<std::uint32_t>(fwd_.size()), &src_demux_,
-                    &dst_demux_};
-  }
-
-  [[nodiscard]] flow_demux& src_demux() { return src_demux_; }
-  [[nodiscard]] flow_demux& dst_demux() { return dst_demux_; }
-
- private:
-  std::deque<owned_route> routes_;  // deque: routes are pinned in place
-  std::vector<const route*> fwd_, rev_;
-  flow_demux src_demux_, dst_demux_;
 };
 
 }  // namespace ndpsim

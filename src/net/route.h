@@ -1,37 +1,30 @@
 // Source routes: explicit sequences of packet sinks.
 //
 // A route alternates queue and pipe elements and ends at a terminal sink (a
-// per-host `flow_demux` for interned fabric routes, or a transport endpoint
-// for hand-built ones):
+// per-host `flow_demux`):
 //   [q0, p0, q1, p1, ..., q_{n-1}, p_{n-1}, terminal]
-// Queues sit at even indices. Each route may know its reverse (same switches,
-// opposite direction), which lets an NDP switch return a packet to its sender
-// from the middle of the path.
+// Queues sit at even indices. Each route knows its reverse (same switches,
+// opposite direction), which lets an NDP switch return a packet to its
+// sender from the middle of the path.
 //
-// `route` itself is a non-owning view with one level of indirection: hop i
-// is `table[slots[i]]`, where `slots` is an immutable sequence of sink-slot
-// ids and `table` maps slot id -> live `packet_sink*`.  That split is what
-// lets fabric structure be shared across simulations (the blueprint/instance
-// split): the slot sequences live once in a `fabric_blueprint`'s structural
-// path table, shared read-only by every `sim_env`, while each
-// `fabric_instance` supplies its own sink table of materialized queues,
-// pipes and demuxes.  Hand-built routes (`owned_route`, the `path_table`
-// hop arena) use an identity slot sequence over their own sink storage, so
-// `at(i)` behaves exactly as before.
+// `route` is a non-owning view with one level of indirection: hop i is
+// `table[slots[i]]`, where `slots` is an immutable sequence of sink-slot ids
+// and `table` maps slot id -> live `packet_sink*`.  That split is what lets
+// fabric structure be shared across simulations: the slot sequences live
+// once in a `fabric_blueprint`'s structural path table, shared read-only by
+// every `sim_env`, while each `fabric_instance` supplies its own sink table
+// of materialized queues, pipes and demuxes.
 //
 // Reverse-pointer lifetime contract: `reverse()` is a raw pointer, so the
 // reverse route (and the storage its hops view) must outlive every use of the
 // forward route — in particular packets in flight carry `reverse_rt` for
 // return-to-sender.  Interned routes satisfy this by construction: forward
-// and reverse of a path are interned together into the same arena and neither
-// is ever freed before the table.  Hand-built pairs must keep both sides
-// alive for the duration of the run; `path_table` asserts reciprocity
-// (`fwd->reverse()->reverse() == fwd`) at interning time.
+// and reverse of a path are interned together by the instance's
+// `path_table`, linked to each other, and neither is freed before the table.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sim/assert.h"
 
@@ -74,18 +67,9 @@ class packet_sink {
   sink_kind kind_ = sink_kind::other;
 };
 
-/// The shared identity slot sequence {0, 1, 2, ...}: routes over contiguous
-/// private hop storage use it so the two-level `table[slots[i]]` resolution
-/// collapses to `hops[i]`.  Asserts `n` within the (generous) static bound.
-[[nodiscard]] const std::uint32_t* identity_slots(std::size_t n);
-
 class route {
  public:
   route() = default;
-  /// View over externally-owned contiguous hop storage (path_table arena,
-  /// owned_route): identity slots, hop i is `hops[i]`.
-  route(packet_sink* const* hops, std::uint32_t n)
-      : route(hops, identity_slots(n), n) {}
   /// Slot-indexed view: hop i is `table[slots[i]]`.  `slots` is shared
   /// immutable structure (a blueprint's interned path); `table` is the
   /// owning instance's per-env sink table.  Both must outlive the view.
@@ -133,43 +117,11 @@ class route {
   [[nodiscard]] const route* reverse() const { return reverse_; }
   void set_reverse(const route* r) { reverse_ = r; }
 
- protected:
+ private:
   packet_sink* const* table_ = nullptr;
   const std::uint32_t* slots_ = nullptr;
   std::uint32_t n_ = 0;
   const route* reverse_ = nullptr;
-};
-
-/// A route that owns its hop storage: hand-built wiring in tests, benches and
-/// custom topologies, and the scratch routes `topology::make_route_pair`
-/// returns for the path_table to intern.  Not copyable — the base view points
-/// into this object's vector.
-class owned_route final : public route {
- public:
-  owned_route() = default;
-  explicit owned_route(std::vector<packet_sink*> hops) { adopt(std::move(hops)); }
-  owned_route(const owned_route&) = delete;
-  owned_route& operator=(const owned_route&) = delete;
-
-  void push_back(packet_sink* s) {
-    NDPSIM_ASSERT(s != nullptr);
-    store_.push_back(s);
-    adopt_store();
-  }
-
- private:
-  void adopt(std::vector<packet_sink*> hops) {
-    store_ = std::move(hops);
-    adopt_store();
-  }
-
-  void adopt_store() {
-    table_ = store_.data();
-    n_ = static_cast<std::uint32_t>(store_.size());
-    slots_ = identity_slots(store_.size());
-  }
-
-  std::vector<packet_sink*> store_;
 };
 
 }  // namespace ndpsim

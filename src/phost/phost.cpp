@@ -196,21 +196,27 @@ void phost_sink::disconnect() {
 bool phost_sink::wants_token() const {
   if (!active_ || complete()) return false;
   const std::uint64_t outstanding = tokens_granted_ - received_;
-  if (tokens_granted_ >= total_packets_ + 4 * cfg_.max_outstanding_tokens) {
-    return false;  // hard cap on re-grants, avoids infinite token loops
-  }
   if (outstanding < cfg_.max_outstanding_tokens &&
       tokens_granted_ < total_packets_) {
     return true;
   }
   // Token expiry: no arrival for a while but credit outstanding -> assume
   // the data (or token) was lost and re-issue.
-  return outstanding > 0 &&
-         env_.now() - last_arrival_ > cfg_.token_timeout;
+  if (outstanding == 0 || env_.now() - last_arrival_ <= cfg_.token_timeout) {
+    return false;
+  }
+  // Past the re-grant budget, re-grant at most once per timeout since the
+  // last grant: no token storms, but a flow still missing packets keeps
+  // recovering instead of stalling for good.
+  if (tokens_granted_ >= total_packets_ + 4 * cfg_.max_outstanding_tokens) {
+    return env_.now() - last_grant_ > cfg_.token_timeout;
+  }
+  return true;
 }
 
 void phost_sink::issue_token() {
   ++tokens_granted_;
+  last_grant_ = env_.now();
   packet* t = env_.pool.alloc();
   t->type = packet_type::phost_token;
   t->priority = 1;

@@ -160,6 +160,7 @@ class phost_sink final : public packet_sink {
   std::uint64_t tokens_granted_ = 0;  ///< cumulative credit sent
   std::uint64_t payload_ = 0;
   simtime_t last_arrival_ = 0;
+  simtime_t last_grant_ = 0;
   simtime_t completion_time_ = -1;
   std::function<void()> on_complete_;
 };

@@ -11,81 +11,31 @@ namespace {
 constexpr std::size_t kBlockSlots = 8192;
 }  // namespace
 
-std::shared_ptr<const fabric_blueprint> fabric_blueprint::fat_tree(
-    fat_tree_config cfg) {
+std::shared_ptr<const fabric_blueprint> fabric_blueprint::build(
+    std::unique_ptr<const fabric_shape> shape, link_config cfg) {
   // make_shared needs a public ctor; the private ctor + explicit new keeps
   // construction behind the factory.
   return std::shared_ptr<const fabric_blueprint>(
-      new fabric_blueprint(std::move(cfg)));
+      new fabric_blueprint(std::move(shape), std::move(cfg)));
 }
 
-fabric_blueprint::fabric_blueprint(fat_tree_config cfg)
-    : cfg_(std::move(cfg)), half_k_(cfg_.k / 2) {
-  NDPSIM_ASSERT_MSG(cfg_.k >= 2 && cfg_.k % 2 == 0, "k must be even and >= 2");
-  NDPSIM_ASSERT(cfg_.oversubscription >= 1);
-  hosts_per_tor_ = cfg_.oversubscription * half_k_;
-  n_tor_ = static_cast<std::size_t>(cfg_.k) * half_k_;
-  n_agg_ = n_tor_;
-  n_core_ = static_cast<std::size_t>(half_k_) * half_k_;
-  n_hosts_ = n_tor_ * hosts_per_tor_;
-
-  const std::size_t n_links =
-      n_hosts_ * 2 +                       // host_up + tor_down
-      n_tor_ * half_k_ * 2 +               // tor_up + agg_down
-      static_cast<std::size_t>(cfg_.k) * half_k_ * half_k_ +  // agg_up
-      n_core_ * cfg_.k;                    // core_down
+fabric_blueprint::fabric_blueprint(std::unique_ptr<const fabric_shape> shape,
+                                   link_config cfg)
+    : shape_(std::move(shape)), cfg_(std::move(cfg)) {
+  NDPSIM_ASSERT_MSG(shape_ != nullptr, "blueprint needs a shape");
+  n_hosts_ = shape_->n_hosts();
+  constexpr link_level kLevels[] = {
+      link_level::host_up,   link_level::tor_up,   link_level::agg_up,
+      link_level::core_down, link_level::agg_down, link_level::tor_down};
+  std::size_t n_links = 0;
+  for (const link_level level : kLevels) n_links += shape_->n_links(level);
   links_.reserve(n_links);
-
-  // Same creation order (and per-level flat indexing) as the former
-  // env-bound builder, so `queues_at(level)[index]` keeps its meaning.
-  level_base_[static_cast<std::size_t>(link_level::host_up)] =
-      static_cast<std::uint32_t>(links_.size());
-  for (std::size_t h = 0; h < n_hosts_; ++h) {
-    add_link(link_level::host_up, static_cast<std::uint32_t>(h));
-  }
-  level_base_[static_cast<std::size_t>(link_level::tor_up)] =
-      static_cast<std::uint32_t>(links_.size());
-  for (std::size_t t = 0; t < n_tor_; ++t) {
-    for (unsigned j = 0; j < half_k_; ++j) {
-      add_link(link_level::tor_up, static_cast<std::uint32_t>(t * half_k_ + j));
-    }
-  }
-  level_base_[static_cast<std::size_t>(link_level::agg_up)] =
-      static_cast<std::uint32_t>(links_.size());
-  for (unsigned p = 0; p < cfg_.k; ++p) {
-    for (unsigned j = 0; j < half_k_; ++j) {
-      for (unsigned m = 0; m < half_k_; ++m) {
-        add_link(link_level::agg_up,
-                 static_cast<std::uint32_t>(agg_up_index(p, j, m)));
-      }
-    }
-  }
-  level_base_[static_cast<std::size_t>(link_level::core_down)] =
-      static_cast<std::uint32_t>(links_.size());
-  for (std::size_t c = 0; c < n_core_; ++c) {
-    for (unsigned p = 0; p < cfg_.k; ++p) {
-      add_link(link_level::core_down,
-               static_cast<std::uint32_t>(
-                   core_down_index(static_cast<unsigned>(c), p)));
-    }
-  }
-  level_base_[static_cast<std::size_t>(link_level::agg_down)] =
-      static_cast<std::uint32_t>(links_.size());
-  for (unsigned p = 0; p < cfg_.k; ++p) {
-    for (unsigned j = 0; j < half_k_; ++j) {
-      for (unsigned i = 0; i < half_k_; ++i) {
-        add_link(link_level::agg_down,
-                 static_cast<std::uint32_t>(
-                     (static_cast<std::size_t>(p) * half_k_ + j) * half_k_ + i));
-      }
-    }
-  }
-  level_base_[static_cast<std::size_t>(link_level::tor_down)] =
-      static_cast<std::uint32_t>(links_.size());
-  for (std::size_t t = 0; t < n_tor_; ++t) {
-    for (unsigned l = 0; l < hosts_per_tor_; ++l) {
-      add_link(link_level::tor_down,
-               static_cast<std::uint32_t>(t * hosts_per_tor_ + l));
+  for (const link_level level : kLevels) {
+    level_base_[static_cast<std::size_t>(level)] =
+        static_cast<std::uint32_t>(links_.size());
+    const std::size_t n = shape_->n_links(level);
+    for (std::size_t i = 0; i < n; ++i) {
+      add_link(level, static_cast<std::uint32_t>(i));
     }
   }
   demux_base_ = next_slot_;
@@ -122,9 +72,7 @@ std::uint32_t fabric_blueprint::link_id(link_level level,
 std::size_t fabric_blueprint::n_paths(std::uint32_t src,
                                       std::uint32_t dst) const {
   NDPSIM_ASSERT(src < n_hosts_ && dst < n_hosts_ && src != dst);
-  if (tor_of(src) == tor_of(dst)) return 1;
-  if (pod_of(src) == pod_of(dst)) return half_k_;
-  return n_core_;
+  return shape_->n_paths(src, dst);
 }
 
 std::string fabric_blueprint::format_name(std::uint32_t slot) const {
@@ -138,35 +86,7 @@ std::string fabric_blueprint::format_name(std::uint32_t slot) const {
       [](std::uint32_t s, const link_record& l) { return s < l.first_slot; });
   NDPSIM_ASSERT(it != links_.begin());
   const link_record& l = *(it - 1);
-  const std::uint32_t idx = l.index;
-  std::string base;
-  switch (l.level) {
-    case link_level::host_up:
-      base = "hostup" + std::to_string(idx);
-      break;
-    case link_level::tor_up:
-      base = "torup" + std::to_string(idx / half_k_) + "." +
-             std::to_string(idx % half_k_);
-      break;
-    case link_level::agg_up:
-      base = "aggup" + std::to_string(idx / (half_k_ * half_k_)) + "." +
-             std::to_string((idx / half_k_) % half_k_) + "." +
-             std::to_string(idx % half_k_);
-      break;
-    case link_level::core_down:
-      base = "coredn" + std::to_string(idx / cfg_.k) + "." +
-             std::to_string(idx % cfg_.k);
-      break;
-    case link_level::agg_down:
-      base = "aggdn" + std::to_string(idx / (half_k_ * half_k_)) + "." +
-             std::to_string((idx / half_k_) % half_k_) + "." +
-             std::to_string(idx % half_k_);
-      break;
-    case link_level::tor_down:
-      base = "tordn" + std::to_string(idx / hosts_per_tor_) + "." +
-             std::to_string(idx % hosts_per_tor_);
-      break;
-  }
+  const std::string base = shape_->link_name(link_ref{l.level, l.index});
   switch (slot - l.first_slot) {
     case 0: return base;
     case 1: return base + ".pipe";
@@ -174,67 +94,27 @@ std::string fabric_blueprint::format_name(std::uint32_t slot) const {
   }
 }
 
-void fabric_blueprint::append_link_slots(
-    std::uint32_t link, std::vector<std::uint32_t>& out) const {
-  const link_record& l = links_[link];
-  out.push_back(l.first_slot);
-  out.push_back(l.first_slot + 1);
-  if (l.has_ingress) out.push_back(l.first_slot + 2);
-}
-
 void fabric_blueprint::build_path(std::uint32_t src, std::uint32_t dst,
                                   std::size_t path,
                                   std::vector<std::uint32_t>& out) const {
   NDPSIM_ASSERT(path < n_paths(src, dst));
+  std::vector<link_ref> links;
+  build_path(src, dst, path, links, out);
+}
+
+void fabric_blueprint::build_path(std::uint32_t src, std::uint32_t dst,
+                                  std::size_t path,
+                                  std::vector<link_ref>& links,
+                                  std::vector<std::uint32_t>& out) const {
+  links.clear();
+  shape_->build_path(src, dst, path, links);
   out.clear();
-  const std::uint32_t ts = tor_of(src);
-  const std::uint32_t td = tor_of(dst);
-  const unsigned ld = dst % hosts_per_tor_;
-  append_link_slots(link_id(link_level::host_up, src), out);
-  if (ts == td) {
-    append_link_slots(
-        link_id(link_level::tor_down,
-                static_cast<std::size_t>(td) * hosts_per_tor_ + ld),
-        out);
-    return;
+  for (const link_ref& ref : links) {
+    const link_record& l = links_[link_id(ref.level, ref.index)];
+    out.push_back(l.first_slot);
+    out.push_back(l.first_slot + 1);
+    if (l.has_ingress) out.push_back(l.first_slot + 2);
   }
-  const unsigned ps = pod_of(src);
-  const unsigned pd = pod_of(dst);
-  const unsigned id = td % half_k_;
-  if (ps == pd) {
-    const unsigned j = static_cast<unsigned>(path);
-    append_link_slots(
-        link_id(link_level::tor_up, static_cast<std::size_t>(ts) * half_k_ + j),
-        out);
-    append_link_slots(
-        link_id(link_level::agg_down,
-                (static_cast<std::size_t>(ps) * half_k_ + j) * half_k_ + id),
-        out);
-    append_link_slots(
-        link_id(link_level::tor_down,
-                static_cast<std::size_t>(td) * hosts_per_tor_ + ld),
-        out);
-    return;
-  }
-  // Inter-pod: the path index selects the core switch; the core determines
-  // the aggregation switch (j = core / half_k) in both pods.
-  const unsigned core = static_cast<unsigned>(path);
-  const unsigned j = core / half_k_;
-  const unsigned m = core % half_k_;
-  append_link_slots(
-      link_id(link_level::tor_up, static_cast<std::size_t>(ts) * half_k_ + j),
-      out);
-  append_link_slots(link_id(link_level::agg_up, agg_up_index(ps, j, m)), out);
-  append_link_slots(link_id(link_level::core_down, core_down_index(core, pd)),
-                    out);
-  append_link_slots(
-      link_id(link_level::agg_down,
-              (static_cast<std::size_t>(pd) * half_k_ + j) * half_k_ + id),
-      out);
-  append_link_slots(
-      link_id(link_level::tor_down,
-              static_cast<std::size_t>(td) * hosts_per_tor_ + ld),
-      out);
 }
 
 const std::uint32_t* fabric_blueprint::intern_slots(
@@ -258,7 +138,8 @@ void fabric_blueprint::structural_paths(std::uint32_t src, std::uint32_t dst,
   std::lock_guard<std::mutex> lock(paths_mu_);
   pair_entry& pe = pairs_[pair_key(src, dst)];
   const std::size_t limit = n_paths(src, dst);
-  std::vector<std::uint32_t> seq;  // reused across the batch
+  std::vector<link_ref>& links = links_scratch_;
+  std::vector<std::uint32_t>& seq = seq_scratch_;
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t path = paths[i];
     NDPSIM_ASSERT_MSG(path < limit, "path index out of range");
@@ -272,11 +153,11 @@ void fabric_blueprint::structural_paths(std::uint32_t src, std::uint32_t dst,
     if (found == nullptr) {
       path_entry e;
       e.path = static_cast<std::uint32_t>(path);
-      build_path(src, dst, path, seq);
+      build_path(src, dst, path, links, seq);
       seq.push_back(demux_slot(dst));
       e.fwd =
           slot_span{intern_slots(seq), static_cast<std::uint32_t>(seq.size())};
-      build_path(dst, src, path, seq);
+      build_path(dst, src, path, links, seq);
       seq.push_back(demux_slot(src));
       e.rev =
           slot_span{intern_slots(seq), static_cast<std::uint32_t>(seq.size())};

@@ -1,6 +1,6 @@
 // Immutable fabric structure, split from per-simulation state.
 //
-// A `fabric_blueprint` is an env-free description of a FatTree's wiring:
+// A `fabric_blueprint` is an env-free description of a fabric's wiring:
 // flat link records (level, flat index, rate, delay, slot assignment), an
 // interned name pool (component names are formatted lazily from the records
 // — see sim/name_ref.h), and a structural path table that interns each
@@ -11,9 +11,17 @@
 // table interns lazily under a mutex; everything else is immutable after
 // construction).
 //
+// Every fabric is a blueprint.  What differs between a FatTree, a
+// leaf-spine and a back-to-back pair is a `fabric_shape`: host count, links
+// per level, path count per pair, the links a path crosses, and link names.
+// The blueprint owns everything else — link records, slot assignment, the
+// name pool and the interning — so a new topology is one shape class.
+//
 // Slot layout: each directed link owns 2 or 3 consecutive slots —
 // [queue, pipe, pfc-ingress?] in traversal order — followed by one slot per
-// host for its `flow_demux` terminal.  A `fabric_instance` materializes the
+// host for its `flow_demux` terminal.  Links are created level by level in
+// `link_level` order, index 0..n-1 within a level, so a link's id is its
+// level's base plus its flat index.  A `fabric_instance` materializes the
 // link slots from a `queue_factory` and mounts demuxes as its path table
 // creates them; a structural path is then resolved per packet hop as
 // `sink_table[slot]` (see net/route.h).
@@ -38,15 +46,16 @@
 
 namespace ndpsim {
 
+struct fat_tree_config;
+
 struct pfc_config {
   bool enabled = false;
   std::uint64_t xoff_bytes = 25 * 9000;  ///< per-ingress pause threshold
   std::uint64_t xon_bytes = 23 * 9000;
 };
 
-struct fat_tree_config {
-  unsigned k = 8;  ///< pods; must be even
-  unsigned oversubscription = 1;
+/// Link parameters every shape shares.
+struct link_config {
   linkspeed_bps link_speed = gbps(10);
   simtime_t link_delay = from_us(1);
   pfc_config pfc = {};
@@ -55,6 +64,33 @@ struct fat_tree_config {
   /// use. Leave empty for uniform fabric.
   std::function<linkspeed_bps(link_level, std::size_t, linkspeed_bps)>
       speed_override = {};
+};
+
+/// One directed link, named by its level and flat index within the level.
+struct link_ref {
+  link_level level;
+  std::uint32_t index;
+};
+
+/// The shape-specific half of a blueprint: pure geometry, no state.
+class fabric_shape {
+ public:
+  virtual ~fabric_shape() = default;
+
+  [[nodiscard]] virtual std::size_t n_hosts() const = 0;
+  /// Links at one level, indexed 0..n-1.
+  [[nodiscard]] virtual std::size_t n_links(link_level level) const = 0;
+  /// Number of distinct paths from `src` to `dst` (src != dst).
+  [[nodiscard]] virtual std::size_t n_paths(std::uint32_t src,
+                                            std::uint32_t dst) const = 0;
+  /// Append the links one direction of a path crosses, source first.  Path
+  /// `p` from b to a must cross the same switches as path `p` from a to b.
+  virtual void build_path(std::uint32_t src, std::uint32_t dst,
+                          std::size_t path,
+                          std::vector<link_ref>& out) const = 0;
+  /// Name of a link's queue ("hostup3"); its pipe and PFC ingress append
+  /// ".pipe" and ".pfc".
+  [[nodiscard]] virtual std::string link_name(link_ref link) const = 0;
 };
 
 class fabric_blueprint final : public name_pool {
@@ -80,8 +116,10 @@ class fabric_blueprint final : public name_pool {
     slot_span fwd, rev;
   };
 
-  /// Build the blueprint for a k-ary FatTree (same wiring, indexing and
-  /// naming as the former env-bound `fat_tree` builder).
+  /// Build the blueprint of any shape.
+  [[nodiscard]] static std::shared_ptr<const fabric_blueprint> build(
+      std::unique_ptr<const fabric_shape> shape, link_config cfg);
+  /// Build the blueprint for a k-ary FatTree (topo/fat_tree.h).
   [[nodiscard]] static std::shared_ptr<const fabric_blueprint> fat_tree(
       fat_tree_config cfg);
 
@@ -89,25 +127,9 @@ class fabric_blueprint final : public name_pool {
   fabric_blueprint& operator=(const fabric_blueprint&) = delete;
 
   // --- geometry ----------------------------------------------------------
-  [[nodiscard]] const fat_tree_config& config() const { return cfg_; }
+  [[nodiscard]] const link_config& config() const { return cfg_; }
+  [[nodiscard]] const fabric_shape& shape() const { return *shape_; }
   [[nodiscard]] std::size_t n_hosts() const { return n_hosts_; }
-  [[nodiscard]] std::size_t n_tors() const { return n_tor_; }
-  [[nodiscard]] std::size_t n_aggs() const { return n_agg_; }
-  [[nodiscard]] std::size_t n_cores() const { return n_core_; }
-  [[nodiscard]] unsigned hosts_per_tor() const { return hosts_per_tor_; }
-  [[nodiscard]] std::uint32_t tor_of(std::uint32_t host) const {
-    return host / hosts_per_tor_;
-  }
-  [[nodiscard]] std::uint32_t pod_of(std::uint32_t host) const {
-    return tor_of(host) / half_k_;
-  }
-  [[nodiscard]] std::size_t agg_up_index(unsigned pod, unsigned agg,
-                                         unsigned port) const {
-    return (static_cast<std::size_t>(pod) * half_k_ + agg) * half_k_ + port;
-  }
-  [[nodiscard]] std::size_t core_down_index(unsigned core, unsigned pod) const {
-    return static_cast<std::size_t>(core) * cfg_.k + pod;
-  }
   [[nodiscard]] std::size_t n_paths(std::uint32_t src, std::uint32_t dst) const;
   [[nodiscard]] linkspeed_bps host_link_speed(std::uint32_t) const {
     return cfg_.link_speed;
@@ -150,8 +172,7 @@ class fabric_blueprint final : public name_pool {
                         structural_pair_view* out) const;
 
   /// Compute (without interning) the link-slot sequence of one direction of
-  /// a path, excluding the demux terminal — the raw structural builder used
-  /// by `fabric_instance::make_route_pair` scratch routes.
+  /// a path, excluding the demux terminal.
   void build_path(std::uint32_t src, std::uint32_t dst, std::size_t path,
                   std::vector<std::uint32_t>& out) const;
 
@@ -163,18 +184,19 @@ class fabric_blueprint final : public name_pool {
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
-  explicit fabric_blueprint(fat_tree_config cfg);
+  fabric_blueprint(std::unique_ptr<const fabric_shape> shape, link_config cfg);
 
   void add_link(link_level level, std::uint32_t index);
-  /// Append one link's traversal slots (queue, pipe, ingress?) to `out`.
-  void append_link_slots(std::uint32_t link, std::vector<std::uint32_t>& out) const;
+  /// `build_path` over a caller-owned link scratch; `path` is in range.
+  void build_path(std::uint32_t src, std::uint32_t dst, std::size_t path,
+                  std::vector<link_ref>& links,
+                  std::vector<std::uint32_t>& out) const;
   [[nodiscard]] const std::uint32_t* intern_slots(
       const std::vector<std::uint32_t>& seq) const;
 
-  fat_tree_config cfg_;
-  unsigned half_k_;
-  unsigned hosts_per_tor_;
-  std::size_t n_tor_, n_agg_, n_core_, n_hosts_;
+  std::unique_ptr<const fabric_shape> shape_;
+  link_config cfg_;
+  std::size_t n_hosts_;
 
   std::vector<link_record> links_;
   std::uint32_t level_base_[6] = {};  ///< first link id per level
@@ -204,6 +226,9 @@ class fabric_blueprint final : public name_pool {
   mutable std::size_t block_cap_ = 0;
   mutable std::size_t slots_total_ = 0;
   mutable std::size_t interned_ = 0;
+  // Interning scratch, reused across connects (guarded by paths_mu_).
+  mutable std::vector<link_ref> links_scratch_;
+  mutable std::vector<std::uint32_t> seq_scratch_;
 };
 
 }  // namespace ndpsim

@@ -1,5 +1,8 @@
 // Per-simulation fabric state, stamped out from a shared immutable
-// `fabric_blueprint`.
+// `fabric_blueprint`.  This is the one fabric class: `fat_tree`,
+// `leaf_spine`, `single_switch` and `back_to_back` are thin subclasses that
+// pick a blueprint shape and add geometry accessors.  The destructor is not
+// virtual: own a subclass by its concrete type.
 //
 // A `fabric_instance` materializes the blueprint's link records into live
 // queues (via the experiment's `queue_factory`), pipes and PFC ingress
@@ -12,7 +15,7 @@
 //
 // Lifetime: the instance holds a shared_ptr keeping the blueprint alive;
 // the instance itself must outlive every flow connected over it (its
-// inherited `path_table` holds routes into the sink table).
+// `path_table` holds routes into the sink table).
 #pragma once
 
 #include <deque>
@@ -23,40 +26,45 @@
 #include "net/pipe.h"
 #include "net/sim_env.h"
 #include "topo/fabric_blueprint.h"
-#include "topo/topology.h"
 
 namespace ndpsim {
 
-class fabric_instance : public topology {
+class flow_demux;
+class path_table;
+
+class fabric_instance {
  public:
   fabric_instance(sim_env& env, std::shared_ptr<const fabric_blueprint> bp,
                   const queue_factory& make_queue);
+  ~fabric_instance();
+  fabric_instance(const fabric_instance&) = delete;
+  fabric_instance& operator=(const fabric_instance&) = delete;
 
-  [[nodiscard]] std::size_t n_hosts() const override { return bp_->n_hosts(); }
+  [[nodiscard]] std::size_t n_hosts() const { return bp_->n_hosts(); }
+  /// Number of distinct paths from `src` to `dst`.
   [[nodiscard]] std::size_t n_paths(std::uint32_t src,
-                                    std::uint32_t dst) const override {
+                                    std::uint32_t dst) const {
     return bp_->n_paths(src, dst);
   }
-  [[nodiscard]] route_pair make_route_pair(std::uint32_t src,
-                                           std::uint32_t dst,
-                                           std::size_t path) override;
-  [[nodiscard]] linkspeed_bps host_link_speed(
-      std::uint32_t host) const override {
+  [[nodiscard]] linkspeed_bps host_link_speed(std::uint32_t host) const {
     return bp_->host_link_speed(host);
   }
 
-  [[nodiscard]] const fabric_blueprint* blueprint() const override {
-    return bp_.get();
-  }
-  [[nodiscard]] packet_sink* const* sink_table() const override {
-    return sinks_.data();
-  }
-  void bind_demux_slot(std::uint32_t host, flow_demux* d) override;
+  /// The interned path table: shared routes for every flow on this fabric.
+  /// Built lazily; lives (and keeps every handed-out route alive) as long as
+  /// the instance.
+  [[nodiscard]] path_table& paths();
 
+  [[nodiscard]] const fabric_blueprint* blueprint() const { return bp_.get(); }
   [[nodiscard]] const std::shared_ptr<const fabric_blueprint>& blueprint_ptr()
       const {
     return bp_;
   }
+  /// Per-env sink table indexed by blueprint slot id.
+  [[nodiscard]] packet_sink* const* sink_table() const { return sinks_.data(); }
+  /// Mount a host's demux at its blueprint slot (the path table calls this
+  /// when it creates the demux) so structural routes ending there resolve.
+  void bind_demux_slot(std::uint32_t host, flow_demux* d);
 
   /// Summed queue stats over all queues at one level (e.g. trims on uplinks).
   [[nodiscard]] queue_stats aggregate_stats(link_level level) const;
@@ -73,6 +81,7 @@ class fabric_instance : public topology {
  private:
   sim_env& env_;
   std::shared_ptr<const fabric_blueprint> bp_;
+  std::unique_ptr<path_table> paths_;  // lazy; outlives the link objects
   std::vector<std::unique_ptr<queue_base>> queues_;  // [link id]
   std::deque<pipe> pipes_;                           // [link id], pinned slab
   std::deque<pfc_ingress> ingresses_;                // pinned slab (PFC only)

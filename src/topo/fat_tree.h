@@ -14,12 +14,11 @@
 // core<->agg link negotiated down to 1Gb/s). Optional PFC (lossless mode)
 // inserts per-link ingress buffer accounting for DCQCN.
 //
-// Structure/state split: the wiring itself lives in an immutable
-// `fabric_blueprint` (topo/fabric_blueprint.h) and this class is a
-// `fabric_instance` of it plus FatTree-geometry accessors.  The one-argument
-// constructor builds a private blueprint (the classic single-run shape); the
-// shared_ptr constructor stamps an instance out of a blueprint shared with
-// other simulations (e.g. one per `parallel_runner` job).
+// `fat_tree_shape` is the blueprint shape (topo/fabric_blueprint.h) and
+// `fat_tree` a `fabric_instance` of it plus FatTree-geometry accessors.  The
+// config constructor builds a private blueprint (the classic single-run
+// shape); the shared_ptr constructor stamps an instance out of a blueprint
+// shared with other simulations (e.g. one per `parallel_runner` job).
 #pragma once
 
 #include <memory>
@@ -28,40 +27,83 @@
 
 namespace ndpsim {
 
-class fat_tree final : public fabric_instance {
- public:
-  fat_tree(sim_env& env, fat_tree_config cfg, const queue_factory& make_queue)
-      : fabric_instance(env, fabric_blueprint::fat_tree(std::move(cfg)),
-                        make_queue) {}
-  /// Instantiate over a shared (possibly concurrently used) blueprint.
-  fat_tree(sim_env& env, std::shared_ptr<const fabric_blueprint> bp,
-           const queue_factory& make_queue)
-      : fabric_instance(env, std::move(bp), make_queue) {}
+struct fat_tree_config : link_config {
+  unsigned k = 8;  ///< pods; must be even
+  unsigned oversubscription = 1;
+};
 
-  [[nodiscard]] const fat_tree_config& config() const {
-    return blueprint()->config();
-  }
-  [[nodiscard]] std::size_t n_tors() const { return blueprint()->n_tors(); }
-  [[nodiscard]] std::size_t n_aggs() const { return blueprint()->n_aggs(); }
-  [[nodiscard]] std::size_t n_cores() const { return blueprint()->n_cores(); }
-  [[nodiscard]] unsigned hosts_per_tor() const {
-    return blueprint()->hosts_per_tor();
-  }
+class fat_tree_shape final : public fabric_shape {
+ public:
+  explicit fat_tree_shape(fat_tree_config cfg);
+
+  [[nodiscard]] const fat_tree_config& config() const { return cfg_; }
+  [[nodiscard]] std::size_t n_tors() const { return n_tor_; }
+  [[nodiscard]] std::size_t n_aggs() const { return n_agg_; }
+  [[nodiscard]] std::size_t n_cores() const { return n_core_; }
+  [[nodiscard]] unsigned hosts_per_tor() const { return hosts_per_tor_; }
   [[nodiscard]] std::uint32_t tor_of(std::uint32_t host) const {
-    return blueprint()->tor_of(host);
+    return host / hosts_per_tor_;
   }
   [[nodiscard]] std::uint32_t pod_of(std::uint32_t host) const {
-    return blueprint()->pod_of(host);
+    return tor_of(host) / half_k_;
   }
-
   // Flat-index helpers for speed overrides (directed links).
   [[nodiscard]] std::size_t agg_up_index(unsigned pod, unsigned agg,
                                          unsigned port) const {
-    return blueprint()->agg_up_index(pod, agg, port);
+    return (static_cast<std::size_t>(pod) * half_k_ + agg) * half_k_ + port;
   }
   [[nodiscard]] std::size_t core_down_index(unsigned core, unsigned pod) const {
-    return blueprint()->core_down_index(core, pod);
+    return static_cast<std::size_t>(core) * cfg_.k + pod;
   }
+
+  [[nodiscard]] std::size_t n_hosts() const override { return n_hosts_; }
+  [[nodiscard]] std::size_t n_links(link_level level) const override;
+  [[nodiscard]] std::size_t n_paths(std::uint32_t src,
+                                    std::uint32_t dst) const override;
+  void build_path(std::uint32_t src, std::uint32_t dst, std::size_t path,
+                  std::vector<link_ref>& out) const override;
+  [[nodiscard]] std::string link_name(link_ref link) const override;
+
+ private:
+  fat_tree_config cfg_;
+  unsigned half_k_;
+  unsigned hosts_per_tor_;
+  std::size_t n_tor_, n_agg_, n_core_, n_hosts_;
+};
+
+class fat_tree final : public fabric_instance {
+ public:
+  fat_tree(sim_env& env, fat_tree_config cfg, const queue_factory& make_queue)
+      : fat_tree(env, fabric_blueprint::fat_tree(std::move(cfg)), make_queue) {}
+  /// Instantiate over a shared (possibly concurrently used) blueprint.
+  fat_tree(sim_env& env, std::shared_ptr<const fabric_blueprint> bp,
+           const queue_factory& make_queue);
+
+  [[nodiscard]] const fat_tree_config& config() const {
+    return shape_.config();
+  }
+  [[nodiscard]] std::size_t n_tors() const { return shape_.n_tors(); }
+  [[nodiscard]] std::size_t n_aggs() const { return shape_.n_aggs(); }
+  [[nodiscard]] std::size_t n_cores() const { return shape_.n_cores(); }
+  [[nodiscard]] unsigned hosts_per_tor() const {
+    return shape_.hosts_per_tor();
+  }
+  [[nodiscard]] std::uint32_t tor_of(std::uint32_t host) const {
+    return shape_.tor_of(host);
+  }
+  [[nodiscard]] std::uint32_t pod_of(std::uint32_t host) const {
+    return shape_.pod_of(host);
+  }
+  [[nodiscard]] std::size_t agg_up_index(unsigned pod, unsigned agg,
+                                         unsigned port) const {
+    return shape_.agg_up_index(pod, agg, port);
+  }
+  [[nodiscard]] std::size_t core_down_index(unsigned core, unsigned pod) const {
+    return shape_.core_down_index(core, pod);
+  }
+
+ private:
+  const fat_tree_shape& shape_;
 };
 
 }  // namespace ndpsim

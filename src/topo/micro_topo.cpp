@@ -4,142 +4,139 @@
 
 namespace ndpsim {
 
-// ---------------------------------------------------------------- back_to_back
+namespace {
+
+/// Two hosts, one link each way: host_up[a] carries a -> b.
+class back_to_back_shape final : public fabric_shape {
+ public:
+  [[nodiscard]] std::size_t n_hosts() const override { return 2; }
+  [[nodiscard]] std::size_t n_links(link_level level) const override {
+    return level == link_level::host_up ? 2 : 0;
+  }
+  [[nodiscard]] std::size_t n_paths(std::uint32_t,
+                                    std::uint32_t) const override {
+    return 1;
+  }
+  void build_path(std::uint32_t src, std::uint32_t, std::size_t,
+                  std::vector<link_ref>& out) const override {
+    out.push_back(link_ref{link_level::host_up, src});
+  }
+  [[nodiscard]] std::string link_name(link_ref link) const override {
+    return "nic" + std::to_string(link.index);
+  }
+};
+
+/// `n_leaf` leaves of `hosts_per_leaf` hosts, each leaf wired to every one
+/// of `n_spine` spines.  Path p between leaves crosses spine p; hosts on one
+/// leaf have a single path that never leaves it.
+class leaf_spine_shape final : public fabric_shape {
+ public:
+  leaf_spine_shape(std::size_t n_leaf, std::size_t n_spine,
+                   std::size_t hosts_per_leaf)
+      : n_leaf_(n_leaf), n_spine_(n_spine), hosts_per_leaf_(hosts_per_leaf) {
+    NDPSIM_ASSERT(n_leaf >= 1 && hosts_per_leaf >= 1);
+    NDPSIM_ASSERT_MSG(n_spine >= 1 || n_leaf == 1, "leaves need spines");
+  }
+
+  [[nodiscard]] std::size_t n_hosts() const override {
+    return n_leaf_ * hosts_per_leaf_;
+  }
+  [[nodiscard]] std::size_t n_links(link_level level) const override {
+    switch (level) {
+      case link_level::host_up:
+      case link_level::tor_down:
+        return n_hosts();
+      case link_level::tor_up:
+      case link_level::agg_down:
+        return n_leaf_ * n_spine_;
+      default:
+        return 0;
+    }
+  }
+  [[nodiscard]] std::size_t n_paths(std::uint32_t src,
+                                    std::uint32_t dst) const override {
+    return leaf_of(src) == leaf_of(dst) ? 1 : n_spine_;
+  }
+  void build_path(std::uint32_t src, std::uint32_t dst, std::size_t spine,
+                  std::vector<link_ref>& out) const override {
+    const std::size_t ls = leaf_of(src);
+    const std::size_t ld = leaf_of(dst);
+    out.push_back(link_ref{link_level::host_up, src});
+    if (ls != ld) {
+      out.push_back(at(link_level::tor_up, ls * n_spine_ + spine));
+      out.push_back(at(link_level::agg_down, spine * n_leaf_ + ld));
+    }
+    out.push_back(link_ref{link_level::tor_down, dst});
+  }
+  [[nodiscard]] std::string link_name(link_ref link) const override {
+    const auto pair = [](const char* base, std::size_t a, std::size_t b) {
+      return base + std::to_string(a) + "." + std::to_string(b);
+    };
+    const std::size_t i = link.index;
+    switch (link.level) {
+      case link_level::host_up:
+        return "hostup" + std::to_string(i);
+      case link_level::tor_up:
+        return pair("leafup", i / n_spine_, i % n_spine_);
+      case link_level::agg_down:
+        return pair("spinedn", i / n_leaf_, i % n_leaf_);
+      case link_level::tor_down:
+        return pair("leafdn", i / hosts_per_leaf_, i % hosts_per_leaf_);
+      default:
+        return "?";
+    }
+  }
+
+ private:
+  [[nodiscard]] std::size_t leaf_of(std::uint32_t host) const {
+    return host / hosts_per_leaf_;
+  }
+  [[nodiscard]] static link_ref at(link_level level, std::size_t index) {
+    return link_ref{level, static_cast<std::uint32_t>(index)};
+  }
+
+  std::size_t n_leaf_, n_spine_, hosts_per_leaf_;
+};
+
+std::shared_ptr<const fabric_blueprint> blueprint_of(
+    std::unique_ptr<const fabric_shape> shape, linkspeed_bps speed,
+    simtime_t delay) {
+  link_config cfg;
+  cfg.link_speed = speed;
+  cfg.link_delay = delay;
+  return fabric_blueprint::build(std::move(shape), std::move(cfg));
+}
+
+}  // namespace
 
 back_to_back::back_to_back(sim_env& env, linkspeed_bps speed, simtime_t delay,
                            const queue_factory& make_queue)
-    : speed_(speed) {
-  for (std::size_t h = 0; h < 2; ++h) {
-    nic_q_.push_back(make_queue(link_level::host_up, h,
-                                speed, "nic" + std::to_string(h)));
-    nic_p_.push_back(
-        std::make_unique<pipe>(env, delay, "wire" + std::to_string(h)));
-  }
-}
-
-route_pair back_to_back::make_route_pair(std::uint32_t src, std::uint32_t dst,
-                                         std::size_t path) {
-  NDPSIM_ASSERT(src < 2 && dst < 2 && src != dst && path == 0);
-  auto build = [this](std::uint32_t a) {
-    auto r = std::make_unique<owned_route>();
-    r->push_back(nic_q_[a].get());
-    r->push_back(nic_p_[a].get());
-    return r;
-  };
-  return {build(src), build(dst)};
-}
-
-// --------------------------------------------------------------- single_switch
+    : fabric_instance(
+          env,
+          blueprint_of(std::make_unique<back_to_back_shape>(), speed, delay),
+          make_queue) {}
 
 single_switch::single_switch(sim_env& env, std::size_t n_hosts,
                              linkspeed_bps speed, simtime_t delay,
                              const queue_factory& make_queue)
-    : speed_(speed) {
+    : fabric_instance(
+          env,
+          blueprint_of(std::make_unique<leaf_spine_shape>(1, 0, n_hosts),
+                       speed, delay),
+          make_queue) {
   NDPSIM_ASSERT(n_hosts >= 2);
-  for (std::size_t h = 0; h < n_hosts; ++h) {
-    nic_q_.push_back(
-        make_queue(link_level::host_up, h, speed, "nic" + std::to_string(h)));
-    nic_p_.push_back(
-        std::make_unique<pipe>(env, delay, "uplink" + std::to_string(h)));
-    sw_q_.push_back(make_queue(link_level::tor_down, h, speed,
-                               "swport" + std::to_string(h)));
-    sw_p_.push_back(
-        std::make_unique<pipe>(env, delay, "downlink" + std::to_string(h)));
-  }
 }
-
-route_pair single_switch::make_route_pair(std::uint32_t src, std::uint32_t dst,
-                                          std::size_t path) {
-  NDPSIM_ASSERT(src < n_hosts() && dst < n_hosts() && src != dst && path == 0);
-  auto build = [this](std::uint32_t a, std::uint32_t b) {
-    auto r = std::make_unique<owned_route>();
-    r->push_back(nic_q_[a].get());
-    r->push_back(nic_p_[a].get());
-    r->push_back(sw_q_[b].get());
-    r->push_back(sw_p_[b].get());
-    return r;
-  };
-  return {build(src, dst), build(dst, src)};
-}
-
-// ------------------------------------------------------------------ leaf_spine
 
 leaf_spine::leaf_spine(sim_env& env, std::size_t n_leaf, std::size_t n_spine,
                        std::size_t hosts_per_leaf, linkspeed_bps speed,
                        simtime_t delay, const queue_factory& make_queue)
-    : n_leaf_(n_leaf),
-      n_spine_(n_spine),
-      hosts_per_leaf_(hosts_per_leaf),
-      speed_(speed),
-      env_(&env) {
-  NDPSIM_ASSERT(n_leaf >= 1 && n_spine >= 1 && hosts_per_leaf >= 1);
-  for (std::size_t h = 0; h < n_hosts(); ++h) {
-    host_up_.push_back(make_link(link_level::host_up, h,
-                                 "hostup" + std::to_string(h), speed, delay,
-                                 make_queue));
-  }
-  for (std::size_t l = 0; l < n_leaf_; ++l) {
-    for (std::size_t s = 0; s < n_spine_; ++s) {
-      leaf_up_.push_back(make_link(
-          link_level::tor_up, l * n_spine_ + s,
-          "leafup" + std::to_string(l) + "." + std::to_string(s), speed, delay,
-          make_queue));
-    }
-  }
-  for (std::size_t s = 0; s < n_spine_; ++s) {
-    for (std::size_t l = 0; l < n_leaf_; ++l) {
-      spine_down_.push_back(make_link(
-          link_level::agg_down, s * n_leaf_ + l,
-          "spinedn" + std::to_string(s) + "." + std::to_string(l), speed,
-          delay, make_queue));
-    }
-  }
-  for (std::size_t l = 0; l < n_leaf_; ++l) {
-    for (std::size_t h = 0; h < hosts_per_leaf_; ++h) {
-      leaf_down_.push_back(make_link(
-          link_level::tor_down, l * hosts_per_leaf_ + h,
-          "leafdn" + std::to_string(l) + "." + std::to_string(h), speed, delay,
-          make_queue));
-    }
-  }
-}
-
-leaf_spine::link leaf_spine::make_link(link_level level, std::size_t index,
-                                       const std::string& name,
-                                       linkspeed_bps speed, simtime_t delay,
-                                       const queue_factory& make_queue) {
-  link l;
-  l.q = make_queue(level, index, speed, name);
-  l.p = std::make_unique<pipe>(*env_, delay, name + ".pipe");
-  return l;
-}
-
-std::size_t leaf_spine::n_paths(std::uint32_t src, std::uint32_t dst) const {
-  NDPSIM_ASSERT(src < n_hosts() && dst < n_hosts() && src != dst);
-  return leaf_of(src) == leaf_of(dst) ? 1 : n_spine_;
-}
-
-route_pair leaf_spine::make_route_pair(std::uint32_t src, std::uint32_t dst,
-                                       std::size_t path) {
-  NDPSIM_ASSERT(path < n_paths(src, dst));
-  auto build = [this](std::uint32_t a, std::uint32_t b, std::size_t spine) {
-    auto r = std::make_unique<owned_route>();
-    const std::uint32_t la = leaf_of(a);
-    const std::uint32_t lb = leaf_of(b);
-    const std::size_t local_b = b % hosts_per_leaf_;
-    auto add = [&r](const link& l) {
-      r->push_back(l.q.get());
-      r->push_back(l.p.get());
-    };
-    add(host_up_[a]);
-    if (la != lb) {
-      add(leaf_up_[la * n_spine_ + spine]);
-      add(spine_down_[spine * n_leaf_ + lb]);
-    }
-    add(leaf_down_[lb * hosts_per_leaf_ + local_b]);
-    return r;
-  };
-  return {build(src, dst, path), build(dst, src, path)};
+    : fabric_instance(env,
+                      blueprint_of(std::make_unique<leaf_spine_shape>(
+                                       n_leaf, n_spine, hosts_per_leaf),
+                                   speed, delay),
+                      make_queue),
+      hosts_per_leaf_(static_cast<std::uint32_t>(hosts_per_leaf)) {
+  NDPSIM_ASSERT(n_spine >= 1);
 }
 
 }  // namespace ndpsim

@@ -2,7 +2,7 @@
 // per-env fabric_instances.  Covers blueprint geometry, lazy name
 // formatting, structural-path interning shared across instances, mutable
 // state isolation between instances of one blueprint, and serial-vs-parallel
-// determinism of a sweep over a shared blueprint.
+// determinism of sweeps over a shared FatTree and leaf-spine blueprint.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -11,6 +11,7 @@
 #include "harness/parallel_runner.h"
 #include "net/fifo_queues.h"
 #include "topo/fat_tree.h"
+#include "topo/micro_topo.h"
 #include "topo/path_table.h"
 #include "test_util.h"
 
@@ -33,10 +34,11 @@ fat_tree_config ft_cfg(unsigned k) {
 
 TEST(fabric_blueprint, geometry_matches_fat_tree_structure) {
   auto bp = fabric_blueprint::fat_tree(ft_cfg(4));
+  const auto& shape = dynamic_cast<const fat_tree_shape&>(bp->shape());
   EXPECT_EQ(bp->n_hosts(), 16u);
-  EXPECT_EQ(bp->n_tors(), 8u);
-  EXPECT_EQ(bp->n_aggs(), 8u);
-  EXPECT_EQ(bp->n_cores(), 4u);
+  EXPECT_EQ(shape.n_tors(), 8u);
+  EXPECT_EQ(shape.n_aggs(), 8u);
+  EXPECT_EQ(shape.n_cores(), 4u);
   EXPECT_EQ(bp->n_paths(0, 1), 1u);    // same ToR
   EXPECT_EQ(bp->n_paths(0, 2), 2u);    // same pod, other ToR: k/2
   EXPECT_EQ(bp->n_paths(0, 15), 4u);   // inter-pod: (k/2)^2
@@ -222,8 +224,9 @@ TEST(fabric_blueprint, parallel_sweep_over_shared_blueprint_is_deterministic) {
 
   parallel_runner serial(1);
   parallel_runner pool(4);
-  const auto a = serial.run(sweep, body);
+  // Threaded first, so its jobs intern into a cold blueprint concurrently.
   const auto b = pool.run(sweep, body);
+  const auto a = serial.run(sweep, body);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].fcts.records().size(), b[i].fcts.records().size());
@@ -242,17 +245,81 @@ TEST(fabric_blueprint, parallel_sweep_over_shared_blueprint_is_deterministic) {
   for (const auto& out : a) EXPECT_EQ(out.fcts.completed(), 5u);
 }
 
-TEST(fabric_blueprint, make_route_pair_resolves_same_sinks_as_shared_routes) {
+TEST(fabric_blueprint, parallel_jobs_share_a_leaf_spine_blueprint) {
+  // Every shape's blueprint is shareable: jobs stamp their own instances out
+  // of the testbed leaf-spine's blueprint and intern its structural paths
+  // concurrently — each job's incast has its own receiver, so every job
+  // inserts pairs of its own into the shared table.  Serial and threaded
+  // runs must agree bit for bit.
+  fabric_params fp;
+  fp.proto = protocol::ndp;
+  sim_env owner_env;
+  const leaf_spine owner(owner_env, 4, 2, 2, gbps(10), from_us(1),
+                         make_queue_factory(owner_env, fp));
+  const auto bp = owner.blueprint_ptr();
+
+  std::vector<experiment_config> sweep;
+  for (int i = 0; i < 4; ++i) {
+    sweep.push_back(experiment_config{.name = "ls" + std::to_string(i),
+                                      .seed = 200u + static_cast<unsigned>(i),
+                                      .param = i});
+  }
+  auto body = [&bp, &fp](const experiment_config& cfg, sim_env& env,
+                         fct_recorder& fcts) {
+    fabric_instance topo(env, bp, make_queue_factory(env, fp));
+    flow_factory flows(env, topo);
+    const auto receiver = static_cast<std::uint32_t>(cfg.param);
+    std::vector<flow*> fs;
+    for (std::uint32_t h = 0; h < 8; ++h) {
+      if (h == receiver) continue;
+      flow_options o;
+      o.bytes = (20 + static_cast<std::uint64_t>(cfg.param)) * 8936;
+      o.start = static_cast<simtime_t>(env.rand_below(1000)) * kNanosecond;
+      fs.push_back(&flows.create(protocol::ndp, h, receiver, o));
+    }
+    run_until_complete(env, fs, from_ms(100));
+    for (const flow* f : fs) {
+      fcts.flow_started(f->id, f->start_time, f->bytes);
+      if (f->complete()) fcts.flow_completed(f->id, f->completion_time());
+    }
+  };
+
+  parallel_runner serial(1);
+  parallel_runner pool(4);
+  // Threaded first, so its jobs intern into a cold blueprint concurrently.
+  const auto b = pool.run(sweep, body);
+  const auto a = serial.run(sweep, body);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].fcts.completed(), 7u);
+    ASSERT_EQ(a[i].fcts.records().size(), b[i].fcts.records().size());
+    for (std::size_t j = 0; j < a[i].fcts.records().size(); ++j) {
+      EXPECT_EQ(a[i].fcts.records()[j].end, b[i].fcts.records()[j].end);
+    }
+    EXPECT_EQ(a[i].events_processed, b[i].events_processed);
+  }
+}
+
+TEST(fabric_blueprint, routes_resolve_structural_slots_to_instance_sinks) {
   sim_env env;
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  auto [raw_fwd, raw_rev] = ft.make_route_pair(2, 13, 1);
+  const fabric_blueprint& bp = *ft.blueprint();
+  std::vector<std::uint32_t> slots;
+  bp.build_path(2, 13, 1, slots);
   const route* fwd = ft.paths().forward(2, 13, 1);
-  ASSERT_EQ(fwd->size(), raw_fwd->size() + 1);  // + demux terminal
-  for (std::size_t i = 0; i < raw_fwd->size(); ++i) {
-    EXPECT_EQ(&fwd->at(i), &raw_fwd->at(i));
+  ASSERT_EQ(fwd->size(), slots.size() + 1);  // + demux terminal
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(&fwd->at(i), ft.sink_table()[slots[i]]);
   }
   EXPECT_EQ(&fwd->at(fwd->size() - 1),
             static_cast<packet_sink*>(&ft.paths().demux(13)));
+  // The reverse resolves the reverse structural path.
+  bp.build_path(13, 2, 1, slots);
+  const route* rev = ft.paths().reverse(2, 13, 1);
+  ASSERT_EQ(rev->size(), slots.size() + 1);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(&rev->at(i), ft.sink_table()[slots[i]]);
+  }
 }
 
 }  // namespace

@@ -226,23 +226,28 @@ workload_result run_micro_workload(micro_fabric fabric, protocol proto) {
   fp.proto = proto;
   sim_env env(7);
   const queue_factory qf = make_queue_factory(env, fp);
-  std::unique_ptr<topology> topo;
+  std::unique_ptr<back_to_back> b2b;
+  std::unique_ptr<single_switch> star;
+  std::unique_ptr<leaf_spine> ls;
+  topology* topo = nullptr;
   // (src, dst) pairs: both directions of the one link; a 4:1 incast plus
   // a crossing flow through the switch; the 8-host testbed's 7:1 incast
   // (cross-leaf multipath and one same-leaf sender) plus a reverse flow.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   switch (fabric) {
     case micro_fabric::back_to_back:
-      topo = std::make_unique<back_to_back>(env, gbps(10), from_us(1), qf);
+      b2b = std::make_unique<back_to_back>(env, gbps(10), from_us(1), qf);
+      topo = b2b.get();
       pairs = {{0, 1}, {1, 0}, {0, 1}};
       break;
     case micro_fabric::single_switch:
-      topo = std::make_unique<single_switch>(env, 6, gbps(10), from_us(1), qf);
+      star = std::make_unique<single_switch>(env, 6, gbps(10), from_us(1), qf);
+      topo = star.get();
       pairs = {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 3}};
       break;
     case micro_fabric::leaf_spine:
-      topo = std::make_unique<leaf_spine>(env, 4, 2, 2, gbps(10), from_us(1),
-                                          qf);
+      ls = std::make_unique<leaf_spine>(env, 4, 2, 2, gbps(10), from_us(1), qf);
+      topo = ls.get();
       pairs = {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}, {6, 0}, {7, 0}, {0, 6}};
       break;
   }

@@ -8,6 +8,7 @@
 
 #include "net/fifo_queues.h"
 #include "topo/fat_tree.h"
+#include "topo/path_table.h"
 #include "test_util.h"
 
 namespace ndpsim {
@@ -113,18 +114,19 @@ TEST_P(fat_tree_paths, interpod_paths_are_pairwise_distinct) {
   const packet_sink* first = nullptr;
   const packet_sink* last = nullptr;
   for (std::size_t p = 0; p < n; ++p) {
-    auto [fwd, rev] = ft.make_route_pair(src, dst, p);
+    const route* fwd = ft.paths().forward(src, dst, p);
+    const std::size_t hops = fwd->size() - 1;  // without the demux terminal
     std::vector<const packet_sink*> middle;
-    for (std::size_t i = 2; i + 2 < fwd->size(); i += 2) {
+    for (std::size_t i = 2; i + 2 < hops; i += 2) {
       middle.push_back(&fwd->at(i));
     }
     middles.insert(middle);
     if (first == nullptr) {
       first = &fwd->at(0);
-      last = &fwd->at(fwd->size() - 2);
+      last = &fwd->at(hops - 2);
     } else {
       EXPECT_EQ(&fwd->at(0), first);
-      EXPECT_EQ(&fwd->at(fwd->size() - 2), last);
+      EXPECT_EQ(&fwd->at(hops - 2), last);
     }
   }
   EXPECT_EQ(middles.size(), n) << "every path must be distinct";
@@ -139,9 +141,12 @@ TEST_P(fat_tree_paths, reverse_of_reverse_is_forward_shape) {
     return std::unique_ptr<queue_base>(
         std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name));
   });
-  auto [fwd, rev] = ft.make_route_pair(1, static_cast<std::uint32_t>(ft.n_hosts() - 2), 0);
+  const auto dst = static_cast<std::uint32_t>(ft.n_hosts() - 2);
+  const route* fwd = ft.paths().forward(1, dst, 0);
+  const route* rev = ft.paths().reverse(1, dst, 0);
   EXPECT_EQ(fwd->size(), rev->size());
   EXPECT_EQ(fwd->queue_hops(), rev->queue_hops());
+  EXPECT_EQ(rev->reverse(), fwd);
 }
 
 INSTANTIATE_TEST_SUITE_P(ks, fat_tree_paths, ::testing::Values(4u, 6u, 8u));

@@ -1,5 +1,5 @@
-// The interned path table: shared routes, the flat hop arena, per-host
-// demux delivery, subset sampling and the reverse-pointer invariant.
+// The interned path table: shared routes, per-host demux delivery, subset
+// sampling and the reverse-pointer invariant.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -63,16 +63,19 @@ TEST(path_table, flow_factory_shares_routes_between_flows) {
 TEST(path_table, interned_route_appends_demux_terminal) {
   sim_env env;
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  auto [raw_fwd, raw_rev] = ft.make_route_pair(0, 15, 0);
   const route* fwd = ft.paths().forward(0, 15, 0);
-  // Same fabric hops plus the demux terminal where the endpoint used to go.
-  ASSERT_EQ(fwd->size(), raw_fwd->size() + 1);
-  EXPECT_EQ(fwd->queue_hops(), raw_fwd->queue_hops());
-  for (std::size_t i = 0; i < raw_fwd->size(); ++i) {
-    EXPECT_EQ(&fwd->at(i), &raw_fwd->at(i));
-  }
+  // The fabric hops (host_up ... tor_down, each a queue then its pipe) plus
+  // the destination's demux terminal where a per-flow endpoint used to go.
+  ASSERT_EQ(fwd->size(), 13u);
+  EXPECT_EQ(fwd->queue_hops(), 6u);
+  EXPECT_EQ(&fwd->at(0), static_cast<packet_sink*>(
+                             ft.queues_at(link_level::host_up)[0]));
+  EXPECT_EQ(&fwd->at(10), static_cast<packet_sink*>(
+                              ft.queues_at(link_level::tor_down)[15]));
   EXPECT_EQ(&fwd->at(fwd->size() - 1),
             static_cast<packet_sink*>(&ft.paths().demux(15)));
+  EXPECT_EQ(&fwd->reverse()->at(fwd->size() - 1),
+            static_cast<packet_sink*>(&ft.paths().demux(0)));
 }
 
 TEST(path_table, demux_delivers_to_bound_endpoint_by_flow_id) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "harness/experiments.h"
 #include "net/fifo_queues.h"
 #include "phost/phost.h"
 #include "topo/micro_topo.h"
@@ -95,6 +96,43 @@ TEST(phost, receiver_shares_tokens_round_robin) {
   const double total = progress[0] + progress[1] + progress[2];
   ASSERT_GT(total, 0.0);
   for (double p : progress) EXPECT_NEAR(p / total, 1.0 / 3, 0.12);
+}
+
+
+// A flow still missing packets once its sink has granted its whole token
+// budget (total + 4 x max_outstanding) must keep getting re-grants — one per
+// token timeout — or it stalls for good while the pacer polls.  Seeded k=4
+// incasts of 450KB with the campaign settings (no handshake, 200us min RTO):
+// fan-in 4 with seed 2 used to stall.
+TEST(phost, incast_flows_complete_after_exhausting_the_regrant_budget) {
+  fabric_params fp;
+  fp.proto = protocol::phost;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    auto bed = make_fat_tree_testbed(seed, 4, fp);
+    sim_env& env = bed->env;
+    const auto n = static_cast<std::uint32_t>(bed->topo->n_hosts());
+    std::vector<std::uint32_t> hosts(n);
+    for (std::uint32_t h = 0; h < n; ++h) hosts[h] = h;
+    // Partial Fisher-Yates: hosts[0] receives, the next four send.
+    for (std::uint32_t i = 0; i <= 4; ++i) {
+      std::swap(hosts[i], hosts[i + env.rand_below(n - i)]);
+    }
+    std::vector<flow*> flows;
+    for (std::uint32_t i = 1; i <= 4; ++i) {
+      flow_options o;
+      o.bytes = 450'000;
+      o.handshake = false;
+      o.min_rto = from_us(200);
+      o.start = static_cast<simtime_t>(env.rand_below(1000)) * kNanosecond;
+      flows.push_back(
+          &bed->flows->create(protocol::phost, hosts[i], hosts[0], o));
+    }
+    run_until_complete(env, flows, from_ms(500));
+    for (const flow* f : flows) {
+      EXPECT_TRUE(f->complete()) << "seed " << seed << " flow " << f->id;
+      EXPECT_EQ(f->payload_received(), f->bytes);
+    }
+  }
 }
 
 }  // namespace

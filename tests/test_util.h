@@ -8,6 +8,7 @@
 #include "net/packet.h"
 #include "net/route.h"
 #include "net/sim_env.h"
+#include "hand_routes.h"
 
 namespace ndpsim::testing {
 
